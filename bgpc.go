@@ -163,7 +163,7 @@ func FinishSequential(g *Bipartite, colors []int32) int {
 // FinishSequentialD2 completes a valid partial distance-2 coloring in
 // place (see FinishSequential).
 func FinishSequentialD2(g *Undirected, colors []int32) int {
-	return d2.FinishSequential(g, colors)
+	return core.FinishSequential(g.Closed(), colors)
 }
 
 // VerifyBGPCPartial returns nil iff colors is a valid partial BGPC
@@ -191,7 +191,7 @@ func ColorD2(g *Undirected, opts Options) (*Result, error) {
 
 // SequentialD2 runs the single-threaded greedy D2GC baseline.
 func SequentialD2(g *Undirected, vertexOrder []int32) *Result {
-	return d2.Sequential(g, vertexOrder)
+	return core.Sequential(g.Closed(), vertexOrder)
 }
 
 // ColorD1 runs the speculative parallel distance-1 coloring (the base

@@ -135,7 +135,7 @@ func RunD2GC(g *graph.Graph, workload, algorithm string, threads int, balance co
 
 // RunD2GCSequential runs the sequential D2GC baseline.
 func RunD2GCSequential(g *graph.Graph, workload string) Measurement {
-	res := d2.Sequential(g, nil)
+	res := core.Sequential(g.Closed(), nil)
 	return fromResult(workload, "seq", 1, res)
 }
 

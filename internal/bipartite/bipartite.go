@@ -9,8 +9,10 @@
 // The graph stores both adjacency directions in CSR form: nets→vertices
 // (vtxs, used by net-based algorithms and as the conflict oracle) and
 // vertices→nets (nets, used by vertex-based algorithms). Adjacency
-// lists are sorted and duplicate-free, which makes traversal order and
-// therefore sequential colorings deterministic.
+// lists are duplicate-free and kept in a fixed order, which makes
+// traversal order and therefore sequential colorings deterministic.
+// FromEdges and FromNetLists sort every list; FromSymmetricCSR keeps
+// its caller's order (see there).
 package bipartite
 
 import (
@@ -111,6 +113,23 @@ func FromNetLists(numVtx int, nets [][]int32) (*Graph, error) {
 		}
 	}
 	return FromEdges(len(nets), numVtx, edges)
+}
+
+// FromSymmetricCSR wraps one CSR (ptr of length n+1, adj holding the
+// lists) as both directions of a square graph with symmetric incidence:
+// net i holds vertex j iff net j holds vertex i, so Vtxs(u) and Nets(u)
+// are the same list. The arrays are adopted, not copied, and must not
+// be modified afterwards. The caller guarantees symmetry and
+// duplicate-free lists with ids in [0, n).
+//
+// Unlike the other constructors it does not sort: each list keeps the
+// caller's order, which matters to algorithms that treat the first
+// occurrence in a net specially. graph.Closed uses this to put every
+// vertex first in its own net. IsStructurallySymmetric (and so
+// ComputeStats' Symmetric field) binary-searches sorted lists and is
+// not meaningful on such a graph.
+func FromSymmetricCSR(n int, ptr []int64, adj []int32) *Graph {
+	return &Graph{numVtx: n, numNet: n, netPtr: ptr, netAdj: adj, vtxPtr: ptr, vtxAdj: adj}
 }
 
 // dedupeCSR sorts each CSR segment, removes duplicates, rewrites ptr to

@@ -50,8 +50,10 @@ func (e *CancelError) Unwrap() []error { return []error{ErrCanceled, e.Cause} }
 
 // repairBGPC makes an interrupted speculative state valid by running
 // conflict removal sequentially over the already-colored prefix: each
-// net keeps the first occurrence of every color (the smallest vertex
-// id, since net adjacency is sorted) and uncolors later duplicates.
+// net keeps the first occurrence of every color in its list order (the
+// smallest vertex id on sorted graphs; the net's own vertex first on a
+// closed-neighbourhood view, see graph.Closed) and uncolors later
+// duplicates.
 // Uncoloring only removes conflicts and never re-creates one, so a
 // single pass leaves the colored subset conflict-free. Returns the
 // number of colored vertices after repair.

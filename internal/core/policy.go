@@ -39,7 +39,7 @@ type Policy struct {
 }
 
 // NewPolicy returns a fresh thread-private policy for one coloring
-// phase. Callers (including the D2GC runner) create new policies at
+// phase. Callers (including the d1 and distk runners) create new policies at
 // each phase start, matching the pseudocode's colmax/colnext
 // initialization.
 func NewPolicy(b Balance) Policy { return Policy{balance: b} }

@@ -159,14 +159,14 @@ func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, e
 
 		t0 := time.Now()
 		if tr.Enabled() {
-			tr.Phase(iter, obs.PhaseColor, PhaseKind(netColor), doColor)
+			tr.Phase(iter, obs.PhaseColor, phaseKind(netColor), doColor)
 		} else {
 			doColor()
 		}
 		it.ColoringTime = time.Since(t0)
 		it.ColoringWork, it.ColoringMaxWork = wc.TotalAndMax()
 		if tr.Enabled() {
-			EmitPhaseEvent(tr, &opts, iter, obs.PhaseColor, netColor,
+			emitPhaseEvent(tr, &opts, iter, obs.PhaseColor, netColor,
 				colorItems, 0, c, it.ColoringTime, it.ColoringWork, it.ColoringMaxWork)
 		}
 		if cn.Canceled() {
@@ -181,7 +181,7 @@ func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, e
 		}
 		t1 := time.Now()
 		if tr.Enabled() {
-			tr.Phase(iter, obs.PhaseConflict, PhaseKind(netCR), doConflict)
+			tr.Phase(iter, obs.PhaseConflict, phaseKind(netCR), doConflict)
 		} else {
 			doConflict()
 		}
@@ -189,7 +189,7 @@ func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, e
 		it.ConflictWork, it.ConflictMaxWork = wc.TotalAndMax()
 		it.Conflicts = len(W)
 		if tr.Enabled() {
-			EmitPhaseEvent(tr, &opts, iter, obs.PhaseConflict, netCR,
+			emitPhaseEvent(tr, &opts, iter, obs.PhaseConflict, netCR,
 				conflictItems, it.Conflicts, c, it.ConflictTime, it.ConflictWork, it.ConflictMaxWork)
 		}
 		if cn.Canceled() {

@@ -78,7 +78,7 @@ func TestColorCtxCancelAllVariants(t *testing.T) {
 				t.Fatalf("CancelError.Colored = %d, colors say %d", ce.Colored, colored)
 			}
 
-			finished := FinishSequential(g, res.Colors)
+			finished := core.FinishSequential(g.Closed(), res.Colors)
 			if finished != ce.Uncolored {
 				t.Fatalf("FinishSequential colored %d, want %d", finished, ce.Uncolored)
 			}
@@ -116,7 +116,7 @@ func TestRepairD2(t *testing.T) {
 	// 0 and 2 share middle vertex 1 → distance-2 conflict on color 0;
 	// likewise 2 and 4 via 3, but 2 gets uncolored first.
 	colors := []int32{0, 1, 0, 1, 0}
-	colored := repairD2(g, colors)
+	colored := core.Repair(g.Closed(), colors)
 	if err := verify.D2GCPartial(g, colors); err != nil {
 		t.Fatalf("repair left conflicts: %v", err)
 	}
@@ -135,13 +135,13 @@ func TestFinishSequentialFromEmptyD2(t *testing.T) {
 		for i := range colors {
 			colors[i] = core.Uncolored
 		}
-		if n := FinishSequential(g, colors); n != g.NumVertices() {
+		if n := core.FinishSequential(g.Closed(), colors); n != g.NumVertices() {
 			t.Fatalf("%s: finished %d of %d", name, n, g.NumVertices())
 		}
 		if err := verify.D2GC(g, colors); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := Sequential(g, nil)
+		want := sequential(g)
 		for v := range colors {
 			if colors[v] != want.Colors[v] {
 				t.Fatalf("%s vertex %d: FinishSequential %d, Sequential %d",

@@ -1,10 +1,13 @@
 package d2
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"bgpc/internal/core"
+	"bgpc/internal/failpoint"
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
 	"bgpc/internal/order"
@@ -39,9 +42,13 @@ func symPresets(t testing.TB, scale float64) map[string]*graph.Graph {
 	return out
 }
 
+// sequential is the greedy D2GC baseline: core.Sequential on the
+// closed-neighbourhood view.
+func sequential(g *graph.Graph) *core.Result { return core.Sequential(g.Closed(), nil) }
+
 func TestSequentialPath(t *testing.T) {
 	g := pathGraph(t)
-	res := Sequential(g, nil)
+	res := sequential(g)
 	if err := verify.D2GC(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +75,7 @@ func TestSequentialMeetsLowerBoundOnStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Sequential(g, nil)
+	res := sequential(g)
 	if err := verify.D2GC(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +89,7 @@ func TestSequentialMeetsLowerBoundOnStar(t *testing.T) {
 
 func TestSequentialValidOnPresets(t *testing.T) {
 	for name, g := range symPresets(t, 0.04) {
-		res := Sequential(g, nil)
+		res := sequential(g)
 		if err := verify.D2GC(g, res.Colors); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -118,7 +125,7 @@ func TestColorAllAlgorithmsValid(t *testing.T) {
 
 func TestColorOneThreadVVMatchesSequential(t *testing.T) {
 	g := symPresets(t, 0.04)["channel"]
-	seq := Sequential(g, nil)
+	seq := sequential(g)
 	par, err := Color(g, Options{Threads: 1, Chunk: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -136,24 +143,34 @@ func TestColorOneThreadVVMatchesSequential(t *testing.T) {
 func TestNetPhaseRespectsLemmaAnalogue(t *testing.T) {
 	// Algorithm 9 assigns colors ≤ |nbor(v)| for the processing net v,
 	// hence ≤ max degree overall — within the D2 lower bound 1+maxdeg.
+	// The core.iterate failpoint stops N1-N2 at the start of iteration
+	// 2, so every surviving color comes from the net-based phases of
+	// iteration 1.
+	defer failpoint.Reset()
 	for name, g := range symPresets(t, 0.04) {
-		opts := Options{Threads: 2, Chunk: 64}
-		c := core.NewColors(g.NumVertices())
-		scr := newScratch(2, g.MaxColorUpperBound()+1, core.BalanceNone)
-		wc := core.NewWorkCounters(2)
-		colorNetPhase(g, c, scr, &opts, wc, nil)
+		if err := failpoint.Arm(core.FPIterate, "cancel@1#1"); err != nil {
+			t.Fatal(err)
+		}
+		opts, _ := core.ParseAlgorithm("N1-N2")
+		opts.Threads = 2
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := ColorCtx(ctx, g, opts)
+		cancel()
+		var ce *core.CancelError
+		if !errors.As(err, &ce) || ce.Iteration != 1 {
+			t.Fatalf("%s: want a cancel after iteration 1, got %v", name, err)
+		}
+		if err := verify.D2GCPartial(g, res.Colors); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		maxDeg := int32(g.MaxDeg())
 		for u := int32(0); int(u) < g.NumVertices(); u++ {
-			cu := c.Get(u)
-			if g.Deg(u) == 0 {
-				continue
-			}
-			if cu == core.Uncolored {
-				t.Fatalf("%s: vertex %d left uncolored", name, u)
-			}
-			if cu > maxDeg {
+			if cu := res.Colors[u]; cu > maxDeg {
 				t.Fatalf("%s: color %d > max degree %d", name, cu, maxDeg)
 			}
+		}
+		if ce.Colored == 0 {
+			t.Fatalf("%s: net phase colored nothing", name)
 		}
 	}
 }
@@ -175,15 +192,17 @@ func TestColorIsolatedVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Color(g, Options{Threads: 2, NetColorIters: 1, NetCRIters: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.D2GC(g, res.Colors); err != nil {
-		t.Fatal(err)
-	}
-	if res.Colors[2] != 0 || res.Colors[3] != 0 {
-		t.Fatalf("isolated vertices colored %v", res.Colors)
+	for _, b := range []core.Balance{core.BalanceNone, core.BalanceB1, core.BalanceB2} {
+		res, err := Color(g, Options{Threads: 2, NetColorIters: 1, NetCRIters: 2, Balance: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := verify.D2GC(g, res.Colors); err != nil {
+			t.Fatal(err)
+		}
+		if res.Colors[2] != 0 || res.Colors[3] != 0 {
+			t.Fatalf("balance %v: isolated vertices colored %v", b, res.Colors)
+		}
 	}
 }
 
@@ -261,6 +280,8 @@ func TestColorPropertyRandomGraphs(t *testing.T) {
 			NetCRIters:    netCR,
 			NetColorIters: r.Intn(netCR + 1),
 			Balance:       core.Balance(r.Intn(3)),
+			// All three net-coloring variants apply to the view.
+			NetColorVariant: core.NetColorVariant(r.Intn(3)),
 		}
 		res, err := Color(g, opts)
 		if err != nil {
@@ -297,8 +318,8 @@ func BenchmarkD2N1N2Channel(b *testing.B) {
 // on columns coincides exactly with the distance-2 relation on the
 // matrix graph (sharing net u means distance ≤ 1 to u or distance 2
 // through u). Sequential first-fit in natural order must therefore
-// produce identical colorings — a strong cross-validation between the
-// two independent implementations.
+// produce identical colorings: the matrix's own nets and the
+// closed-neighbourhood view built from its graph are the same sets.
 func TestD2EquivalentToBGPCWithFullDiagonal(t *testing.T) {
 	for _, name := range []string{"afshell", "bone010", "copapers"} {
 		b, err := gen.Preset(name, 0.03)
@@ -324,7 +345,7 @@ func TestD2EquivalentToBGPCWithFullDiagonal(t *testing.T) {
 			t.Fatal(err)
 		}
 		bgpcRes := core.Sequential(b, nil)
-		d2Res := Sequential(g, nil)
+		d2Res := sequential(g)
 		for v := range bgpcRes.Colors {
 			if bgpcRes.Colors[v] != d2Res.Colors[v] {
 				t.Fatalf("%s: vertex %d: BGPC %d vs D2GC %d", name, v, bgpcRes.Colors[v], d2Res.Colors[v])

@@ -2,7 +2,8 @@
 // insert/remove lists with strict validation and caps, application of
 // a delta to a cached CSR graph, dirty-set computation, and warm-start
 // recoloring of only the affected vertices via the existing sequential
-// repair/finish machinery in internal/core and internal/d2.
+// repair/finish machinery in internal/core (on the closed-neighbourhood
+// view for D2GC).
 //
 // The central observation (ROADMAP direction 1; Rokos et al.,
 // arXiv:1505.04086) is that the repair machinery already recolors an
@@ -33,7 +34,6 @@ import (
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/core"
-	"bgpc/internal/d2"
 	"bgpc/internal/failpoint"
 	"bgpc/internal/graph"
 	"bgpc/internal/limits"
@@ -225,17 +225,10 @@ func RecolorBGPC(g2 *bipartite.Graph, base []int32, dirty []int32) ([]int32, Sta
 	return colors, st, nil
 }
 
-// RecolorD2 is RecolorBGPC for the distance-2 variant, operating on the
-// undirected unipartite view of the mutated graph.
+// RecolorD2 is RecolorBGPC for the distance-2 variant: BGPC recoloring
+// of the closed-neighbourhood view of the mutated undirected graph.
 func RecolorD2(ug2 *graph.Graph, base []int32, dirty []int32) ([]int32, Stats, error) {
-	colors, st, err := warmStart(ug2.NumVertices(), base, dirty)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	d2.Repair(ug2, colors)
-	d2.FinishSequential(ug2, colors)
-	st.Recolored = diffCount(base, colors)
-	return colors, st, nil
+	return RecolorBGPC(ug2.Closed(), base, dirty)
 }
 
 // warmStart copies the base coloring and uncolors the dirty set,

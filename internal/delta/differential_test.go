@@ -16,7 +16,6 @@ import (
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/core"
-	"bgpc/internal/d2"
 	"bgpc/internal/graph"
 	"bgpc/internal/verify"
 )
@@ -43,7 +42,7 @@ func seqD2(t *testing.T, ug *graph.Graph) []int32 {
 	for i := range colors {
 		colors[i] = core.Uncolored
 	}
-	d2.FinishSequential(ug, colors)
+	core.FinishSequential(ug.Closed(), colors)
 	if err := verify.D2GC(ug, colors); err != nil {
 		t.Fatalf("from-scratch D2 coloring invalid: %v", err)
 	}

@@ -345,27 +345,10 @@ func (b *barrier) wait() {
 
 // ColorD2GC runs the distributed speculative distance-2 coloring on an
 // undirected graph — the problem the framework papers ([5],[6]) target
-// directly. Structure matches ColorBGPC: block partition, optimistic
-// supersteps, boundary exchange, hashed tie-break.
+// directly. It is ColorBGPC on the closed-neighbourhood view
+// (graph.Closed), whose BGPC constraints are the graph's distance-2
+// constraints: block partition, optimistic supersteps, boundary
+// exchange, hashed tie-break.
 func ColorD2GC(g *graph.Graph, ranks, superstepLimit int) ([]int32, Stats, error) {
-	b, err := asBipartite(g)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return ColorBGPC(b, ranks, superstepLimit)
-}
-
-// asBipartite converts an undirected graph to the bipartite form whose
-// BGPC constraints equal the graph's distance-2 constraints: net v
-// contains v itself plus nbor(v) (the full-diagonal symmetric matrix).
-func asBipartite(g *graph.Graph) (*bipartite.Graph, error) {
-	n := g.NumVertices()
-	edges := make([]bipartite.Edge, 0, 2*g.NumEdges()+int64(n))
-	for v := int32(0); int(v) < n; v++ {
-		edges = append(edges, bipartite.Edge{Net: v, Vtx: v})
-		for _, u := range g.Nbors(v) {
-			edges = append(edges, bipartite.Edge{Net: v, Vtx: u})
-		}
-	}
-	return bipartite.FromEdges(n, n, edges)
+	return ColorBGPC(g.Closed(), ranks, superstepLimit)
 }

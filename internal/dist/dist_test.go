@@ -217,9 +217,10 @@ func TestColorD2GCValid(t *testing.T) {
 	}
 }
 
-func TestAsBipartiteEquivalence(t *testing.T) {
-	// The induced BGPC constraints must equal distance-2 constraints:
-	// sequential colorings coincide (full-diagonal equivalence).
+func TestClosedViewEquivalence(t *testing.T) {
+	// The closed view's BGPC constraints must equal the distance-2
+	// constraints: a BGPC coloring of it is a valid D2 coloring, and
+	// ColorD2GC is exactly that run.
 	b, err := gen.Preset("nlpkkt", 0.03)
 	if err != nil {
 		t.Fatal(err)
@@ -228,18 +229,20 @@ func TestAsBipartiteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := asBipartite(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bg.IsStructurallySymmetric() {
-		t.Fatal("induced bipartite not symmetric")
-	}
-	colors, _, err := ColorBGPC(bg, 1, 0)
+	colors, _, err := ColorBGPC(g.Closed(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.D2GC(g, colors); err != nil {
 		t.Fatal(err)
+	}
+	d2colors, _, err := ColorD2GC(g, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range colors {
+		if colors[v] != d2colors[v] {
+			t.Fatalf("vertex %d: ColorBGPC on the view %d, ColorD2GC %d", v, colors[v], d2colors[v])
+		}
 	}
 }

@@ -8,8 +8,9 @@
 // provides the sequential greedy algorithm and the speculative
 // parallel loop (paper Algorithms 1–3 with nbor(v) = the radius-k
 // ball around v, enumerated by bounded BFS). The specialized k = 1 and
-// k = 2 implementations in internal/d1 and internal/d2 are faster for
-// those cases; this package trades constant factors for generality.
+// k = 2 implementations in internal/d1 and internal/d2 (internal/core
+// on the closed-neighbourhood view) are faster for those cases; this
+// package trades constant factors for generality.
 package distk
 
 import (

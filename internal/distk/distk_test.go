@@ -6,7 +6,6 @@ import (
 
 	"bgpc/internal/core"
 	"bgpc/internal/d1"
-	"bgpc/internal/d2"
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
 	"bgpc/internal/rng"
@@ -77,7 +76,8 @@ func TestSequentialMatchesD1AndD2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2res := d2.Sequential(g, nil)
+	// D2GC's greedy baseline is BGPC's on the closed-neighbourhood view.
+	d2res := core.Sequential(g.Closed(), nil)
 	for v := range k2.Colors {
 		if k2.Colors[v] != d2res.Colors[v] {
 			t.Fatalf("k=2 vs d2 differ at %d: %d vs %d", v, k2.Colors[v], d2res.Colors[v])
@@ -297,7 +297,8 @@ func TestNetPhasesEvenK(t *testing.T) {
 func TestNetPhaseK2MatchesD2Analogue(t *testing.T) {
 	// With one thread, the distance-2 instantiation of the generalized
 	// net phases must produce a valid coloring of the same quality
-	// class as internal/d2's N1-N2 (not necessarily identical colors:
+	// class as D2GC's N1-N2, which is core's N1-N2 on the
+	// closed-neighbourhood view (not necessarily identical colors:
 	// the half-radius ball excludes the center from the Wlocal start
 	// offset by one, matching Algorithm 9's |nbor(v)| start).
 	b, err := gen.Preset("nlpkkt", 0.04)
@@ -316,7 +317,7 @@ func TestNetPhaseK2MatchesD2Analogue(t *testing.T) {
 	if err := Verify(g, 2, res.Colors); err != nil {
 		t.Fatal(err)
 	}
-	d2res, err := d2.Color(g, opts)
+	d2res, err := core.Color(g.Closed(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

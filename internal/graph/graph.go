@@ -149,6 +149,38 @@ func FromBipartite(b *bipartite.Graph) (*Graph, error) {
 	return g, nil
 }
 
+// Closed returns the closed-neighbourhood view of g as a bipartite
+// graph: net v lists v itself, then nbor(v) in ascending order, and an
+// isolated vertex gets an empty net. Two vertices share a net iff they
+// are within distance two, so a BGPC coloring of the view is exactly a
+// distance-2 coloring of g — the paper's reading of D2GC (Algorithms 9
+// and 10 treat each vertex as the net covering {v} ∪ nbor(v)). The
+// view is symmetric, so one CSR serves as both directions (see
+// bipartite.FromSymmetricCSR); it costs n more ids than g itself.
+//
+// Isolated vertices need the empty net: the BGPC runners pre-color
+// vertices incident to no net and never queue them, which is what the
+// distance-2 algorithms do for vertices without neighbours.
+func (g *Graph) Closed() *bipartite.Graph {
+	ptr := make([]int64, g.n+1)
+	for v := int32(0); int(v) < g.n; v++ {
+		d := int64(g.Deg(v))
+		if d > 0 {
+			d++
+		}
+		ptr[v+1] = ptr[v] + d
+	}
+	adj := make([]int32, ptr[g.n])
+	for v := int32(0); int(v) < g.n; v++ {
+		if nb := g.Nbors(v); len(nb) > 0 {
+			w := ptr[v]
+			adj[w] = v
+			copy(adj[w+1:], nb)
+		}
+	}
+	return bipartite.FromSymmetricCSR(g.n, ptr, adj)
+}
+
 // Edges returns each undirected edge once (U < V), in sorted order.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges())
@@ -170,33 +202,6 @@ func (g *Graph) D2ColorLowerBound() int {
 		return 0
 	}
 	return 1 + g.MaxDeg()
-}
-
-// MaxColorUpperBound returns a safe bound on distinct colors any D2GC
-// algorithm here can produce: 1 + max_v Σ_{u∈nbor(v)∪{v}} |nbor(u)|,
-// clamped to NumVertices. Forbidden arrays are sized with it.
-func (g *Graph) MaxColorUpperBound() int {
-	if g.n == 0 {
-		return 0
-	}
-	maxBound := int64(0)
-	for v := int32(0); int(v) < g.n; v++ {
-		b := int64(g.Deg(v))
-		for _, u := range g.Nbors(v) {
-			b += int64(g.Deg(u))
-		}
-		if b > maxBound {
-			maxBound = b
-		}
-	}
-	bound := maxBound + 1
-	if bound > int64(g.n) {
-		bound = int64(g.n)
-	}
-	if bound < 1 {
-		bound = 1
-	}
-	return int(bound)
 }
 
 // HasEdge reports whether {u, v} is an edge.

@@ -75,8 +75,9 @@ func TestD2ColorLowerBound(t *testing.T) {
 }
 
 func TestMaxColorUpperBound(t *testing.T) {
+	// D2GC runs size their forbidden sets with the closed view's bound.
 	g := path(t)
-	ub := g.MaxColorUpperBound()
+	ub := g.Closed().MaxColorUpperBound()
 	if ub < g.D2ColorLowerBound() {
 		t.Fatalf("upper %d < lower %d", ub, g.D2ColorLowerBound())
 	}
@@ -212,5 +213,41 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if comp[3] != comp[4] || comp[3] == comp[0] || comp[5] == comp[0] || comp[5] == comp[3] {
 		t.Fatalf("component ids: %v", comp)
+	}
+}
+
+func TestClosed(t *testing.T) {
+	// 0-1-2 path plus isolated vertex 3 and edge 4-5.
+	g, err := FromEdges(6, []Edge{{2, 1}, {0, 1}, {4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Closed()
+	if c.NumNets() != 6 || c.NumVertices() != 6 {
+		t.Fatalf("closed view is %dx%d", c.NumNets(), c.NumVertices())
+	}
+	want := [][]int32{{0, 1}, {1, 0, 2}, {2, 1}, {}, {4, 5}, {5, 4}}
+	for v, w := range want {
+		got := c.Vtxs(int32(v))
+		if len(got) != len(w) {
+			t.Fatalf("net %d = %v, want %v", v, got, w)
+		}
+		for i := range w {
+			if got[i] != w[i] {
+				t.Fatalf("net %d = %v, want %v", v, got, w)
+			}
+		}
+		// Symmetric view: a vertex's nets are its own net's members.
+		nets := c.Nets(int32(v))
+		if len(nets) != len(got) || (len(nets) > 0 && &nets[0] != &got[0]) {
+			t.Fatalf("vertex %d nets %v do not share net %d's list %v", v, nets, v, got)
+		}
+	}
+	if c.NumEdges() != 2*g.NumEdges()+5 {
+		t.Fatalf("closed view has %d incidences", c.NumEdges())
+	}
+	// 1 + max_v Σ_{u∈nbor(v)∪{v}} |nbor(u)|, reached at vertex 1.
+	if ub := c.MaxColorUpperBound(); ub != 5 {
+		t.Fatalf("view's color bound %d, want 5", ub)
 	}
 }

@@ -117,7 +117,8 @@ type Shape struct {
 	// edge count doubles.
 	Symmetric bool
 	// D2 marks distance-2 jobs, which additionally build the
-	// undirected unipartite view of the graph.
+	// closed-neighbourhood view of the graph (graph.Closed), by way of
+	// its undirected unipartite form.
 	D2 bool
 	// Threads is the per-job worker count; each worker keeps its own
 	// forbidden-color scratch.
@@ -144,7 +145,8 @@ func Estimate(sh Shape) (int64, error) {
 //   - runtime state: the color array, the work queues (≈ 2 vertex-sized
 //     int32 arrays), and one forbidden-color scratch array per thread,
 //     each bounded by the number of vertices
-//   - D2 jobs double the graph term for the undirected view
+//   - D2 jobs double the graph term for the closed-neighbourhood view
+//     and the undirected graph it is built from
 //
 // All arithmetic saturates at MaxInt64 so hostile shapes cannot
 // overflow their way under a budget. The result errs high by design —

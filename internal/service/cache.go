@@ -15,8 +15,9 @@ import (
 
 // cacheEntry is one cached graph. The bipartite graph is immutable
 // after construction, so entries are shared freely across requests;
-// the undirected (D2GC) view is derived lazily once and memoized,
-// since symmetry checking and transposition cost a full CSR pass.
+// the closed-neighbourhood view D2GC jobs color (graph.Closed) is
+// derived lazily once and memoized, since symmetry checking and the
+// view's construction cost full CSR passes.
 //
 // The entry also memoizes the graph's fingerprint (hex) — computed once
 // at construction instead of per response — and retains the latest
@@ -30,9 +31,9 @@ type cacheEntry struct {
 	fp  string // %016x of fpU, the delta-API identity
 	fpU uint64 // g.Fingerprint(), the WAL identity
 
-	ugOnce sync.Once
-	ug     *graph.Graph
-	ugErr  error
+	closedOnce sync.Once
+	closedG    *bipartite.Graph
+	closedErr  error
 
 	colorMu   sync.Mutex
 	colorings map[string][]int32 // mode → verified coloring
@@ -52,12 +53,19 @@ func newCacheEntry(key string, g *bipartite.Graph) *cacheEntry {
 	return e
 }
 
-// undirected returns the memoized unipartite view for D2GC jobs.
-func (e *cacheEntry) undirected() (*graph.Graph, error) {
-	e.ugOnce.Do(func() {
-		e.ug, e.ugErr = graph.FromBipartite(e.g)
+// closed returns the memoized closed-neighbourhood view for D2GC jobs:
+// BGPC on it is D2GC on the graph. It fails when g is not square and
+// structurally symmetric.
+func (e *cacheEntry) closed() (*bipartite.Graph, error) {
+	e.closedOnce.Do(func() {
+		ug, err := graph.FromBipartite(e.g)
+		if err != nil {
+			e.closedErr = err
+			return
+		}
+		e.closedG = ug.Closed()
 	})
-	return e.ug, e.ugErr
+	return e.closedG, e.closedErr
 }
 
 // storeColoring retains a copy of a coloring verified against e.g.
@@ -168,7 +176,7 @@ func (c *graphCache) put(key string, g *bipartite.Graph) *cacheEntry {
 }
 
 // putEntry is put for an already-constructed entry — the delta path
-// builds its entry (mutated graph + memoized undirected view +
+// builds its entry (mutated graph + memoized closed view +
 // verified coloring) before publication, so the cache must insert it
 // as-is rather than wrap the graph again.
 func (c *graphCache) putEntry(e *cacheEntry) *cacheEntry {

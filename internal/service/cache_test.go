@@ -71,19 +71,30 @@ func TestGraphCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCacheEntryUndirectedMemoized(t *testing.T) {
+func TestCacheEntryClosedMemoized(t *testing.T) {
 	b, err := gen.Preset("channel", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := &cacheEntry{g: b}
-	u1, err1 := e.undirected()
-	u2, err2 := e.undirected()
+	c1, err1 := e.closed()
+	c2, err2 := e.closed()
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if u1 != u2 {
-		t.Fatal("undirected view rebuilt instead of memoized")
+	if c1 != c2 {
+		t.Fatal("closed view rebuilt instead of memoized")
+	}
+	if c1.NumNets() != b.NumNets() || c1.NumVertices() != b.NumVertices() {
+		t.Fatalf("closed view is %dx%d, graph is %dx%d", c1.NumNets(), c1.NumVertices(), b.NumNets(), b.NumVertices())
+	}
+
+	asym, err := bipartite.FromEdges(2, 2, []bipartite.Edge{{Net: 0, Vtx: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&cacheEntry{g: asym}).closed(); err == nil {
+		t.Fatal("closed view of an asymmetric graph accepted")
 	}
 }
 

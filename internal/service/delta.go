@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bgpc/internal/delta"
-	"bgpc/internal/graph"
 	"bgpc/internal/limits"
 	"bgpc/internal/obs"
 	"bgpc/internal/trace"
@@ -354,23 +353,20 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 
 	newEntry := newCacheEntry("", g2)
 
-	var ug2 *graph.Graph
+	// As in execute, the mode picks the graph (the closed view for d2)
+	// and the dirty set; recolor and verify are shared.
+	cg, dirty := g2, spec.d.DirtyBGPC()
 	if spec.d2mode {
 		// A delta can break the structural symmetry d2 requires; that is
 		// a defect in the client's delta, not in the server.
-		if ug2, err = newEntry.undirected(); err != nil {
+		if cg, err = newEntry.closed(); err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: delta result: %w", err)
 		}
+		dirty = spec.d.DirtyD2()
 	}
 
 	recolor := rec.StartSpanKind("recolor", trace.KindRecolor)
-	var colors []int32
-	var st delta.Stats
-	if spec.d2mode {
-		colors, st, err = delta.RecolorD2(ug2, base, spec.d.DirtyD2())
-	} else {
-		colors, st, err = delta.RecolorBGPC(g2, base, spec.d.DirtyBGPC())
-	}
+	colors, st, err := delta.RecolorBGPC(cg, base, dirty)
 	recolor.End()
 	if err != nil {
 		// The only failures here are shape mismatches between the cached
@@ -382,11 +378,7 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 	// Same contract as a full color: never hand out an unverified
 	// coloring, and never cache one either.
 	vspan := rec.StartSpanKind("verify", trace.KindVerify)
-	if spec.d2mode {
-		err = verify.D2GC(ug2, colors)
-	} else {
-		err = verify.BGPC(g2, colors)
-	}
+	err = verify.BGPC(cg, colors)
 	vspan.End()
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("internal: delta produced an invalid coloring: %w", err)

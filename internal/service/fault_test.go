@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bgpc/internal/core"
 	"bgpc/internal/failpoint"
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
@@ -254,12 +255,16 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	}
 }
 
-// TestWatchdogFallbackD2 exercises the same livelock path through the
-// distance-2 runner and its sequential completion.
+// TestWatchdogFallbackD2 exercises the same livelock path through a
+// distance-2 job and its sequential completion. A d2 job runs the BGPC
+// runner on the closed-neighbourhood view, so core.iterate stalls it;
+// the degraded/livelock assertions below prove the point was hit
+// (ArmFromSpec accepts any name, so a stale point name would arm
+// nothing and fail them rather than pass silently).
 func TestWatchdogFallbackD2(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	s := newTestServer(t, Config{Workers: 1, WatchdogWindow: 60 * time.Millisecond})
-	arm(t, "d2.iterate=delay:500ms@1")
+	arm(t, core.FPIterate+"=delay:500ms@1")
 
 	w := post(t, s, ColorRequest{Preset: "afshell", Scale: 0.05, Mode: "d2", TimeoutMS: 30_000})
 	if w.Code != http.StatusOK {
@@ -279,6 +284,23 @@ func TestWatchdogFallbackD2(t *testing.T) {
 	}
 	if err := verify.D2GC(ug, resp.Colors); err != nil {
 		t.Fatalf("livelock fallback produced an invalid D2 coloring: %v", err)
+	}
+}
+
+// TestRunnerFailpointHitsD2 pins that d2 jobs pass through the BGPC
+// runner's iteration failpoint, which the chaos battery's runner-errs
+// schedule relies on to fault them: an injected runner error is a 500.
+func TestRunnerFailpointHitsD2(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	s := newTestServer(t, Config{Workers: 1})
+	arm(t, core.FPIterate+"=err@1")
+
+	w := post(t, s, ColorRequest{Preset: "afshell", Scale: 0.05, Mode: "d2"})
+	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), core.FPIterate) {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	if got := failpoint.Active(); len(got) != 0 {
+		t.Fatalf("core.iterate did not fire on the d2 job: still armed %v", got)
 	}
 }
 

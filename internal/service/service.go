@@ -46,10 +46,8 @@ import (
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/core"
-	"bgpc/internal/d2"
 	"bgpc/internal/failpoint"
 	"bgpc/internal/gen"
-	"bgpc/internal/graph"
 	"bgpc/internal/limits"
 	"bgpc/internal/mtx"
 	"bgpc/internal/obs"
@@ -801,11 +799,13 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 		}
 		return nil, http.StatusBadRequest, err
 	}
-	var ug *graph.Graph
+	// D2GC is BGPC on the closed-neighbourhood view, so the mode only
+	// picks the graph; every step below is shared.
+	g := entry.g
 	if spec.d2mode {
 		// The symmetric-structure requirement is a property of the
 		// request's matrix; surface its failure as a client error.
-		if ug, err = entry.undirected(); err != nil {
+		if g, err = entry.closed(); err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: %w", err)
 		}
 	}
@@ -828,11 +828,7 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 	start := time.Now()
 	var res *core.Result
 	color := rec.StartSpanKind("color", trace.KindColor)
-	if spec.d2mode {
-		res, err = d2.ColorCtx(runCtx, ug, spec.opts)
-	} else {
-		res, err = core.ColorCtx(runCtx, entry.g, spec.opts)
-	}
+	res, err = core.ColorCtx(runCtx, g, spec.opts)
 	color.End()
 	if res != nil {
 		// Per-request phase totals, the deployable form of the paper's
@@ -855,11 +851,7 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 		// the colored prefix; finish the rest sequentially so the
 		// client still gets a complete valid coloring.
 		repair := rec.StartSpanKind("repair", trace.KindRepair)
-		if spec.d2mode {
-			resp.DegradedFinished = d2.FinishSequential(ug, res.Colors)
-		} else {
-			resp.DegradedFinished = core.FinishSequential(entry.g, res.Colors)
-		}
+		resp.DegradedFinished = core.FinishSequential(g, res.Colors)
 		repair.End()
 		resp.Degraded = true
 		obs.SvcDegraded.Inc()
@@ -884,11 +876,7 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 	// A service must not hand out invalid colorings: the check is one
 	// O(nnz) pass, far cheaper than the run itself.
 	vspan := rec.StartSpanKind("verify", trace.KindVerify)
-	if spec.d2mode {
-		err = verify.D2GC(ug, res.Colors)
-	} else {
-		err = verify.BGPC(entry.g, res.Colors)
-	}
+	err = verify.BGPC(g, res.Colors)
 	vspan.End()
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("internal: produced an invalid coloring: %w", err)

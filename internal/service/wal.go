@@ -118,12 +118,13 @@ func (s *Server) rehydrate(fpHex, mode string) (entry *cacheEntry, recoverable b
 	// Never let unverified recovered state into the cache: the log's
 	// CRCs and fingerprint checks prove integrity, only the verifier
 	// proves validity.
+	vg := g
 	if mode == "d2" {
-		ug, uerr := e.undirected()
-		if uerr != nil || verify.D2GC(ug, colors) != nil {
+		if vg, err = e.closed(); err != nil {
 			return nil, false
 		}
-	} else if verify.BGPC(g, colors) != nil {
+	}
+	if verify.BGPC(vg, colors) != nil {
 		return nil, false
 	}
 	pub := s.cache.putEntry(e)
