@@ -18,9 +18,7 @@ package bipartite
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"sort"
 )
 
 // Graph is an immutable bipartite graph in dual CSR form.
@@ -74,32 +72,45 @@ func FromEdges(numNet, numVtx int, edges []Edge) (*Graph, error) {
 	if numNet < 0 || numVtx < 0 {
 		return nil, fmt.Errorf("bipartite: negative dimension (%d nets, %d vertices)", numNet, numVtx)
 	}
+	g := &Graph{numVtx: numVtx, numNet: numNet}
+
+	// Two stable counting sorts and no comparison sort: bucket the
+	// incidences by vertex, then scatter them into their nets walking
+	// the vertices in increasing order. Every net's list comes out
+	// ascending with its duplicates adjacent, so one linear pass
+	// dedupes it.
+	vtxPtr := make([]int64, numVtx+1)
+	g.netPtr = make([]int64, numNet+1)
 	for _, e := range edges {
 		if e.Net < 0 || int(e.Net) >= numNet || e.Vtx < 0 || int(e.Vtx) >= numVtx {
 			return nil, fmt.Errorf("%w: (net=%d, vtx=%d) with %d nets, %d vertices",
 				ErrInvalidEdge, e.Net, e.Vtx, numNet, numVtx)
 		}
-	}
-	g := &Graph{numVtx: numVtx, numNet: numNet}
-
-	// Counting sort incidences into the net-major CSR.
-	g.netPtr = make([]int64, numNet+1)
-	for _, e := range edges {
+		vtxPtr[e.Vtx+1]++
 		g.netPtr[e.Net+1]++
 	}
-	for v := 0; v < numNet; v++ {
-		g.netPtr[v+1] += g.netPtr[v]
-	}
-	adj := make([]int32, len(edges))
-	fill := make([]int64, numNet)
+	prefixSum(vtxPtr)
+	prefixSum(g.netPtr)
+	byVtx := make([]int32, len(edges)) // nets, bucketed by vertex
 	for _, e := range edges {
-		p := g.netPtr[e.Net] + fill[e.Net]
-		adj[p] = e.Vtx
-		fill[e.Net]++
+		byVtx[vtxPtr[e.Vtx]] = e.Net
+		vtxPtr[e.Vtx]++
 	}
-	// Sort within each net and drop duplicates, compacting in place.
+	// vtxPtr[u] now holds the end of u's bucket.
+	adj := make([]int32, len(edges))
+	lo := int64(0)
+	for u := 0; u < numVtx; u++ {
+		for _, v := range byVtx[lo:vtxPtr[u]] {
+			adj[g.netPtr[v]] = int32(u)
+			g.netPtr[v]++
+		}
+		lo = vtxPtr[u]
+	}
+	unshift(g.netPtr)
 	g.netAdj = dedupeCSR(g.netPtr, adj)
-	g.buildTranspose()
+	// The buckets are spent; the transpose reuses their storage.
+	clear(vtxPtr)
+	g.buildTranspose(vtxPtr, byVtx)
 	return g, nil
 }
 
@@ -132,15 +143,28 @@ func FromSymmetricCSR(n int, ptr []int64, adj []int32) *Graph {
 	return &Graph{numVtx: n, numNet: n, netPtr: ptr, netAdj: adj, vtxPtr: ptr, vtxAdj: adj}
 }
 
-// dedupeCSR sorts each CSR segment, removes duplicates, rewrites ptr to
-// the compacted offsets, and returns the compacted adjacency array.
+// prefixSum turns the counts in ptr[1:] into segment start offsets.
+func prefixSum(ptr []int64) {
+	for i := 1; i < len(ptr); i++ {
+		ptr[i] += ptr[i-1]
+	}
+}
+
+// unshift restores segment starts after a scatter that advanced each
+// ptr[i] to the end of segment i, i.e. the start of segment i+1.
+func unshift(ptr []int64) {
+	copy(ptr[1:], ptr[:len(ptr)-1])
+	ptr[0] = 0
+}
+
+// dedupeCSR removes adjacent duplicates from each ascending CSR
+// segment, rewrites ptr to the compacted offsets, and returns the
+// compacted adjacency array.
 func dedupeCSR(ptr []int64, adj []int32) []int32 {
 	n := len(ptr) - 1
 	var write int64
 	for v := 0; v < n; v++ {
-		lo, hi := ptr[v], ptr[v+1]
-		seg := adj[lo:hi]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		seg := adj[ptr[v]:ptr[v+1]]
 		start := write
 		for i := range seg {
 			if i > 0 && seg[i] == seg[i-1] {
@@ -156,23 +180,22 @@ func dedupeCSR(ptr []int64, adj []int32) []int32 {
 }
 
 // buildTranspose derives the vertex-major CSR from the net-major CSR.
-func (g *Graph) buildTranspose() {
-	g.vtxPtr = make([]int64, g.numVtx+1)
+// It adopts ptr (numVtx+1 zeros) and adj (at least NumEdges long) as
+// the vertex-major arrays.
+func (g *Graph) buildTranspose(ptr []int64, adj []int32) {
 	for _, u := range g.netAdj {
-		g.vtxPtr[u+1]++
+		ptr[u+1]++
 	}
-	for u := 0; u < g.numVtx; u++ {
-		g.vtxPtr[u+1] += g.vtxPtr[u]
-	}
-	g.vtxAdj = make([]int32, len(g.netAdj))
-	fill := make([]int64, g.numVtx)
+	prefixSum(ptr)
 	for v := int32(0); int(v) < g.numNet; v++ {
 		for _, u := range g.Vtxs(v) {
-			p := g.vtxPtr[u] + fill[u]
-			g.vtxAdj[p] = v
-			fill[u]++
+			adj[ptr[u]] = v
+			ptr[u]++
 		}
 	}
+	unshift(ptr)
+	g.vtxPtr = ptr
+	g.vtxAdj = adj[:len(g.netAdj):len(g.netAdj)]
 	// Nets were visited in increasing order, so each vertex's net list
 	// is already sorted and duplicate-free.
 }
@@ -310,24 +333,37 @@ func (g *Graph) Edges() []Edge {
 // — whatever the input order or duplication — fingerprint identically,
 // which makes it a usable identity for content-addressed caches (see
 // internal/service). It is not cryptographic.
+//
+// The values are frozen: the write-ahead log keys its records by them
+// and clients address deltas by them, so the hashed byte stream (each
+// word as 8 little-endian bytes) must never change. testdata/
+// fingerprints.txt pins them.
 func (g *Graph) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v int64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	put(int64(g.numNet))
-	put(int64(g.numVtx))
+	h := uint64(fnvOffset64)
+	h = fnvWord(h, uint64(g.numNet))
+	h = fnvWord(h, uint64(g.numVtx))
 	for _, p := range g.netPtr {
-		put(p)
+		h = fnvWord(h, uint64(p))
 	}
 	for _, u := range g.netAdj {
-		put(int64(u))
+		h = fnvWord(h, uint64(int64(u)))
 	}
-	return h.Sum64()
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds the 8 little-endian bytes of w into the FNV-1a state h:
+// the byte stream hash/fnv's New64a would be fed, without an interface
+// call per word.
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ (w >> i & 0xff)) * fnvPrime64
+	}
+	return h
 }
 
 // Transpose returns the graph with roles swapped: former nets become

@@ -337,6 +337,7 @@ func BenchmarkFromEdges(b *testing.B) {
 	for i := range edges {
 		edges[i] = Edge{Net: int32(r.Intn(numNet)), Vtx: int32(r.Intn(numVtx))}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := FromEdges(numNet, numVtx, edges); err != nil {
@@ -400,5 +401,50 @@ func TestFingerprint(t *testing.T) {
 	}
 	if g1.Fingerprint() == g4.Fingerprint() {
 		t.Fatal("different vertex count, same fingerprint")
+	}
+}
+
+func BenchmarkFingerprint(b *testing.B) {
+	r := rng.New(7)
+	const numNet, numVtx, m = 2000, 2000, 100000
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{Net: int32(r.Intn(numNet)), Vtx: int32(r.Intn(numVtx))}
+	}
+	g, err := FromEdges(numNet, numVtx, edges)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(8 * (int64(numNet) + 3 + g.NumEdges()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Fingerprint()
+	}
+}
+
+// TestFromEdgesAllocs pins FromEdges to a constant number of
+// allocations: its output arrays and their scratch, with nothing per
+// net (a comparison sort per net used to cost two).
+func TestFromEdgesAllocs(t *testing.T) {
+	const m = 20000
+	allocs := func(numNet int) float64 {
+		r := rng.New(3)
+		edges := make([]Edge, m)
+		for i := range edges {
+			edges[i] = Edge{Net: int32(r.Intn(numNet)), Vtx: int32(r.Intn(500))}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := FromEdges(numNet, 500, edges); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(10), allocs(10000)
+	if few != many {
+		t.Fatalf("allocations depend on the net count: %v with 10 nets, %v with 10000", few, many)
+	}
+	if few > 8 {
+		t.Fatalf("FromEdges made %v allocations, want at most 8", few)
 	}
 }

@@ -59,7 +59,7 @@ func (g *Graph) ApplyDelta(insert, remove []Edge) (out *Graph, inserted, removed
 		out.netPtr[v+1] = int64(len(newAdj))
 	}
 	out.netAdj = newAdj[:len(newAdj):len(newAdj)]
-	out.buildTranspose()
+	out.buildTranspose(make([]int64, g.numVtx+1), make([]int32, len(out.netAdj)))
 	return out, inserted, removed, nil
 }
 

@@ -14,6 +14,11 @@
 // Violations surface as two typed errors — ErrFormat for malformed
 // input, limits.ErrTooLarge for well-formed input over a cap — so
 // serving layers can map them to 400 and 413 respectively.
+//
+// Data lines go through one byte-level scanner (scan.go) that reads
+// them in place from the bufio.Reader's buffer: a matrix costs a fixed
+// handful of allocations plus its edge slice and CSR arrays, not one
+// per line.
 package mtx
 
 import (
@@ -73,7 +78,10 @@ type Info struct {
 // of r (at most the header lines), never the data section.
 func PeekInfo(r io.Reader, lim limits.ParseLimits) (Info, error) {
 	lim = lim.WithDefaults()
-	br := bufio.NewReaderSize(r, 1<<16)
+	// The header is a few short lines and readLine accumulates longer
+	// ones itself, so a small buffer does: this runs on the request
+	// goroutine for every inline matrix.
+	br := bufio.NewReaderSize(r, 4096)
 	h, err := readHeader(br, lim)
 	if err != nil {
 		return Info{}, err
@@ -98,9 +106,10 @@ func Read(r io.Reader) (*bipartite.Graph, error) {
 // defaults.
 func ReadLimited(r io.Reader, lim limits.ParseLimits) (*bipartite.Graph, error) {
 	lim = lim.WithDefaults()
-	// 64KiB read buffer: readLine accumulates longer lines itself (up
-	// to lim.MaxLineBytes), so the buffer need not fit a whole line —
-	// and a rejected hostile header must not have cost a big buffer.
+	// 64KiB read buffer: readLine and the entry scanner accumulate
+	// longer lines themselves (up to lim.MaxLineBytes), so the buffer
+	// need not fit a whole line — and a rejected hostile header must
+	// not have cost a big buffer.
 	br := bufio.NewReaderSize(r, 1<<16)
 	h, err := readHeader(br, lim)
 	if err != nil {
@@ -115,13 +124,21 @@ func ReadLimited(r io.Reader, lim limits.ParseLimits) (*bipartite.Graph, error) 
 		capHint = 4096
 	}
 	edges := make([]bipartite.Edge, 0, capHint)
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 1<<16), lim.MaxLineBytes)
+	symmetric := h.symmetry != "general"
+	lr := lineReader{br: br, max: lim.MaxLineBytes}
+	var f fields
 	seen := int64(0)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '%' {
-			continue
+	for {
+		line, err := lr.next()
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			return nil, err
+		}
+		f.split(line)
+		if f.n == 0 || line[f.at[0].start] == '%' {
+			continue // blank or comment
 		}
 		if seen >= h.nnz {
 			return nil, fmt.Errorf("%w: more than %d declared entries", ErrFormat, h.nnz)
@@ -129,7 +146,7 @@ func ReadLimited(r io.Reader, lim limits.ParseLimits) (*bipartite.Graph, error) 
 		if err := failpoint.Inject(FPReadEntry); err != nil {
 			return nil, fmt.Errorf("%w: injected fault at entry %d: %v", ErrFormat, seen+1, err)
 		}
-		row, col, err := parseEntry(line, h)
+		row, col, err := parseEntry(line, &f, h.valueCols)
 		if err != nil {
 			return nil, err
 		}
@@ -137,19 +154,15 @@ func ReadLimited(r io.Reader, lim limits.ParseLimits) (*bipartite.Graph, error) 
 			return nil, fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrFormat, row, col, h.rows, h.cols)
 		}
 		edges = append(edges, bipartite.Edge{Net: int32(row - 1), Vtx: int32(col - 1)})
-		if h.symmetry != "general" && row != col {
+		if symmetric && row != col {
+			// The mirror must fit too: a symmetric header does not
+			// promise a square matrix.
+			if col > h.rows || row > h.cols {
+				return nil, fmt.Errorf("%w: mirror of entry (%d,%d) outside %dx%d", ErrFormat, row, col, h.rows, h.cols)
+			}
 			edges = append(edges, bipartite.Edge{Net: int32(col - 1), Vtx: int32(row - 1)})
 		}
 		seen++
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// The raw bufio error must not leak to API error paths: a
-			// too-long line is a malformed document, same as any other
-			// format violation.
-			return nil, fmt.Errorf("%w: entry line exceeds %d bytes", ErrFormat, lim.MaxLineBytes)
-		}
-		return nil, err
 	}
 	if seen != h.nnz {
 		return nil, fmt.Errorf("%w: declared %d entries, found %d", ErrFormat, h.nnz, seen)
@@ -264,28 +277,6 @@ func readHeader(br *bufio.Reader, lim limits.ParseLimits) (header, error) {
 		h.rows, h.cols, h.nnz = int(dims[0]), int(dims[1]), dims[2]
 		return h, nil
 	}
-}
-
-func parseEntry(line string, h header) (row, col int, err error) {
-	parts := strings.Fields(line)
-	want := 2 + h.valueCols
-	if len(parts) != want {
-		return 0, 0, fmt.Errorf("%w: entry %q has %d fields, want %d", ErrFormat, line, len(parts), want)
-	}
-	row, err = strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: bad row index in %q", ErrFormat, line)
-	}
-	col, err = strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: bad column index in %q", ErrFormat, line)
-	}
-	for _, p := range parts[2:] {
-		if _, err := strconv.ParseFloat(p, 64); err != nil {
-			return 0, 0, fmt.Errorf("%w: bad value in %q", ErrFormat, line)
-		}
-	}
-	return row, col, nil
 }
 
 // ReadFile parses the MatrixMarket file at path. Files ending in .gz

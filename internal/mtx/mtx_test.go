@@ -102,6 +102,7 @@ func TestReadErrors(t *testing.T) {
 		"out of range":     "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n",
 		"zero index":       "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n0 1\n",
 		"missing size":     "%%MatrixMarket matrix coordinate pattern general\n% only comments\n",
+		"sym not square":   "%%MatrixMarket matrix coordinate pattern symmetric\n2 7 2\n1 1\n1 7\n",
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); !errors.Is(err, ErrFormat) {

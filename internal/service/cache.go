@@ -81,6 +81,26 @@ func (e *cacheEntry) storeColoring(mode string, colors []int32) {
 	e.colorMu.Unlock()
 }
 
+// adoptColorings gives e every mode's coloring prev holds and e lacks.
+// Only the fingerprint index calls it, for entries of equal
+// fingerprint, i.e. content-identical graphs. Stored colorings are
+// never mutated (coloring hands out copies), so the slices are shared.
+func (e *cacheEntry) adoptColorings(prev *cacheEntry) {
+	prev.colorMu.Lock()
+	defer prev.colorMu.Unlock()
+	e.colorMu.Lock()
+	defer e.colorMu.Unlock()
+	for mode, c := range prev.colorings {
+		if _, ok := e.colorings[mode]; ok {
+			continue
+		}
+		if e.colorings == nil {
+			e.colorings = make(map[string][]int32, 2)
+		}
+		e.colorings[mode] = c
+	}
+}
+
 // coloring returns a private copy of the retained coloring for mode.
 func (e *cacheEntry) coloring(mode string) ([]int32, bool) {
 	e.colorMu.Lock()
@@ -106,7 +126,8 @@ type graphCache struct {
 	// ColorResponse returned. Two keys describing the same incidence
 	// structure (an mtx body and an equivalent preset) share a
 	// fingerprint; the most recently inserted wins, which is harmless —
-	// their graphs are content-identical by construction.
+	// their graphs are content-identical by construction — and takes
+	// over the colorings the previous holder retained.
 	fpm map[string]*list.Element
 }
 
@@ -196,7 +217,14 @@ func (c *graphCache) putEntry(e *cacheEntry) *cacheEntry {
 	}
 	el := c.ll.PushFront(e)
 	c.m[e.key] = el
-	c.fpm[e.fp] = el // latest wins on fingerprint collision
+	// Latest wins on a fingerprint collision, but must not lose what
+	// the index served a moment ago: a delta on this fingerprint racing
+	// the publication of a colorless entry (a no-op delta's result, a
+	// cold rebuild under another key) would otherwise 404.
+	if prev, ok := c.fpm[e.fp]; ok {
+		e.adoptColorings(prev.Value.(*cacheEntry))
+	}
+	c.fpm[e.fp] = el
 	for c.ll.Len() > c.cap {
 		old := c.ll.Back()
 		c.ll.Remove(old)

@@ -117,3 +117,42 @@ func TestCacheKeys(t *testing.T) {
 		t.Fatal("matrix and preset keys share a namespace")
 	}
 }
+
+// TestFingerprintIndexKeepsColorings is the regression test for the
+// delta-publish race behind rare "has no cached bgpc coloring" 404s.
+// A no-op delta's result has its base's fingerprint, and so does a
+// cold rebuild of a cached graph under another key. Publishing such an
+// entry repoints the fingerprint index at it; if that entry has no
+// coloring yet, a concurrent delta on the fingerprint finds none.
+func TestFingerprintIndexKeepsColorings(t *testing.T) {
+	c := newGraphCache(4)
+	base := c.put("mtx:base", testGraph(t))
+	base.storeColoring("bgpc", []int32{0, 1, 2, 0})
+
+	assertColored := func(step string) {
+		t.Helper()
+		e, ok := c.getByFingerprint(base.fp)
+		if !ok {
+			t.Fatalf("%s: fingerprint %s not indexed", step, base.fp)
+		}
+		if _, ok := e.coloring("bgpc"); !ok {
+			t.Fatalf("%s: fingerprint %s now resolves to an entry without its bgpc coloring", step, base.fp)
+		}
+	}
+	// The no-op delta's result entry, under its content-addressed key.
+	c.putEntry(newCacheEntry("", testGraph(t)))
+	assertColored("no-op delta publish")
+	// buildGraph's put of the same graph under a new key, before the
+	// job colors it.
+	c.put("preset:same", testGraph(t))
+	assertColored("cold build publish")
+
+	// A coloring the newer entry holds itself is not overwritten.
+	fresh := newCacheEntry("mtx:fresh", testGraph(t))
+	fresh.storeColoring("bgpc", []int32{1, 0, 2, 1})
+	c.putEntry(fresh)
+	e, _ := c.getByFingerprint(base.fp)
+	if got, _ := e.coloring("bgpc"); got[0] != 1 {
+		t.Fatalf("publish replaced the new entry's own coloring with the old one: %v", got)
+	}
+}

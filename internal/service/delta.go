@@ -384,15 +384,19 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 		return nil, http.StatusInternalServerError, fmt.Errorf("internal: delta produced an invalid coloring: %w", err)
 	}
 
-	// Publish only after verification. putEntry may return a concurrent
-	// winner's entry for the same fingerprint; store the coloring on
-	// whichever entry is actually in the cache.
-	pub := s.cache.putEntry(newEntry)
+	// Publish only after verification, and with the coloring already
+	// stored: once indexed, the entry is visible to concurrent deltas on
+	// its fingerprint. putEntry may return a concurrent winner's entry
+	// for the same key; that one gets the coloring too.
 	mode := "bgpc"
 	if spec.d2mode {
 		mode = "d2"
 	}
-	pub.storeColoring(mode, colors)
+	newEntry.storeColoring(mode, colors)
+	pub := s.cache.putEntry(newEntry)
+	if pub != newEntry {
+		pub.storeColoring(mode, colors)
+	}
 	// Durability before acknowledgement: the delta record (base
 	// fingerprint + edge lists) is what lets the chain survive cache
 	// eviction and restarts.

@@ -127,8 +127,12 @@ func (s *Server) rehydrate(fpHex, mode string) (entry *cacheEntry, recoverable b
 	if verify.BGPC(vg, colors) != nil {
 		return nil, false
 	}
+	// Store before publishing, as the delta path does.
+	e.storeColoring(mode, colors)
 	pub := s.cache.putEntry(e)
-	pub.storeColoring(mode, colors)
+	if pub != e {
+		pub.storeColoring(mode, colors)
+	}
 	obs.SvcWalRehydrated.Inc()
 	return pub, true
 }
