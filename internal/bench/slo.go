@@ -109,6 +109,15 @@ type SLOReport struct {
 	// 503s) are attributed to the target they were sent to.
 	Backends map[string]map[string]int64 `json:"backends,omitempty"`
 
+	// BackendCounters, when a target is a fleet router (it answers GET
+	// /rtr/backends), holds the counter deltas each listed backend's own
+	// /metrics showed over the run: backend address → counter → delta.
+	// They are kept apart from Counters because daemons sharing one
+	// process share its counters. A backend that could not be scraped
+	// before or after the run carries Missing instead. Additive in
+	// bgpc-slo/v1.
+	BackendCounters map[string]SLOBackendCounters `json:"backend_counters,omitempty"`
+
 	// Slowest records the top-K slowest requests per status class —
 	// request id, trace id (when the target echoed X-BGPC-Trace) and
 	// client-observed latency, slowest first. Additive in bgpc-slo/v1:
@@ -118,6 +127,15 @@ type SLOReport struct {
 	Slowest map[string][]SLOSlowest `json:"slowest,omitempty"`
 
 	ErrorBudget SLOErrorBudget `json:"error_budget"`
+}
+
+// SLOBackendCounters is one fleet backend's share of a report: its
+// counter deltas (bgpc_svc_* and bgpc_wal_* counters, exposition
+// names), or why it could not be scraped. A backend that restarted
+// mid-run reports its counts since the restart.
+type SLOBackendCounters struct {
+	Counters map[string]int64 `json:"counters,omitempty"`
+	Missing  string           `json:"missing,omitempty"`
 }
 
 // MaxSlowestPerClass caps each status class's Slowest list.
@@ -171,6 +189,16 @@ func (r *SLOReport) Validate() error {
 			}
 			if n < 0 {
 				return fmt.Errorf("bench: negative count %d for backend %s class %s", n, be, class)
+			}
+		}
+	}
+	for be, bc := range r.BackendCounters {
+		if be == "" {
+			return fmt.Errorf("bench: empty backend name in backend counters")
+		}
+		for name, d := range bc.Counters {
+			if d < 0 {
+				return fmt.Errorf("bench: negative delta %d for backend %s counter %s", d, be, name)
 			}
 		}
 	}

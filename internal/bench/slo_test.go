@@ -81,6 +81,12 @@ func TestSLOValidateRejects(t *testing.T) {
 		{"slowest out of order", func(r *SLOReport) {
 			r.Slowest["2xx"] = []SLOSlowest{{MS: 1}, {MS: 2}}
 		}, "ordered slowest-first"},
+		{"backend counters unnamed", func(r *SLOReport) {
+			r.BackendCounters = map[string]SLOBackendCounters{"": {Missing: "down"}}
+		}, "empty backend name"},
+		{"backend counter negative", func(r *SLOReport) {
+			r.BackendCounters = map[string]SLOBackendCounters{"b:1": {Counters: map[string]int64{"bgpc_svc_accepted_total": -1}}}
+		}, "negative delta"},
 	}
 	for _, tc := range cases {
 		r := validSLO()

@@ -5,6 +5,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,8 +17,9 @@ import (
 // fronted fleet with one backend dark from the start: the report must
 // stay schema-valid, carry a per-backend breakdown, classify the dark
 // backend's keys as "rerouted" (the router served them via the ring
-// successor), and keep the error budget clean — failover means the
-// outage never surfaces as 5xx.
+// successor), keep the error budget clean — failover means the
+// outage never surfaces as 5xx — and carry each backend's own counter
+// deltas, with the dark backend recorded as missing.
 func TestRunAgainstRouterFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end fleet load run")
@@ -105,5 +107,24 @@ func TestRunAgainstRouterFleet(t *testing.T) {
 	// Router counters ride along in the scrape delta.
 	if rep.Counters["bgpc_rtr_proxied_total"] == 0 {
 		t.Fatalf("no bgpc_rtr_proxied_total delta in %v", rep.Counters)
+	}
+
+	// The backends' own scrapes ride along per backend: the live one
+	// shows its service work, the dark one is recorded as missing.
+	live := rep.BackendCounters[alive.URL[len("http://"):]]
+	if live.Missing != "" {
+		t.Fatalf("live backend recorded missing: %s", live.Missing)
+	}
+	var svc int64
+	for name, d := range live.Counters {
+		if strings.HasPrefix(name, "bgpc_svc_") {
+			svc += d
+		}
+	}
+	if svc == 0 {
+		t.Fatalf("live backend shows no bgpc_svc_* counter delta: %v", live.Counters)
+	}
+	if dark := rep.BackendCounters[deadAddr]; dark.Missing == "" {
+		t.Fatalf("dark backend not recorded missing: %+v", dark)
 	}
 }

@@ -27,7 +27,9 @@ type Options struct {
 	// Workers are pinned round-robin across targets (worker w drives
 	// target w mod N), every target's /metrics is scraped before and
 	// after, and the latency/counter deltas are merged, so one report
-	// covers the whole fleet.
+	// covers the whole fleet. A target that is a fleet router also has
+	// every backend it lists on /rtr/backends scraped, for the report's
+	// per-backend counters.
 	BaseURLs []string
 	// HTTPClient overrides the transport for both /color traffic and
 	// the /metrics scrapes; nil uses a dedicated client.
@@ -83,6 +85,8 @@ func Run(ctx context.Context, sched *Schedule, opt Options) (*bench.SLOReport, e
 		}
 		befores[i] = b
 	}
+	fleet := rosters(ctx, httpc, targets)
+	fleetBefore := scrapeAll(ctx, httpc, fleet)
 
 	// One no-retry client per target: the generator must observe every
 	// failure, not paper over it — retries belong to real clients, not
@@ -193,6 +197,7 @@ dispatch:
 		}
 		afters[i] = a
 	}
+	fleetAfter := scrapeAll(ctx, httpc, fleet)
 
 	rep := &bench.SLOReport{
 		Schema:        bench.SLOSchema,
@@ -274,6 +279,7 @@ dispatch:
 		}
 	}
 	rep.Backends = backends
+	rep.BackendCounters = backendCounters(fleetBefore, fleetAfter)
 	if len(slowest) > 0 {
 		rep.Slowest = slowest
 	}
@@ -468,6 +474,103 @@ func quantileMS(s obs.HistSnapshot, q float64) float64 {
 		return 0
 	}
 	return v * 1000
+}
+
+// rosters returns the backend addresses the targets that are fleet
+// routers list on GET /rtr/backends, deduplicated.
+func rosters(ctx context.Context, httpc *http.Client, targets []string) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, t := range targets {
+		for _, addr := range roster(ctx, httpc, t) {
+			if !seen[addr] {
+				seen[addr] = true
+				out = append(out, addr)
+			}
+		}
+	}
+	return out
+}
+
+// roster reads one target's backend roster. A target that answers
+// anything but a roster is not a router and lists none.
+func roster(ctx context.Context, httpc *http.Client, target string) []string {
+	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet, target+"/rtr/backends", nil)
+	if err != nil {
+		return nil
+	}
+	resp, err := httpc.Do(req)
+	if err != nil {
+		return nil
+	}
+	defer resp.Body.Close()
+	var rows []struct {
+		Addr string `json:"addr"`
+	}
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&rows) != nil {
+		return nil
+	}
+	addrs := make([]string, 0, len(rows))
+	for _, r := range rows {
+		if r.Addr != "" {
+			addrs = append(addrs, r.Addr)
+		}
+	}
+	return addrs
+}
+
+// backendScrape is one fleet backend's scrape: its parsed exposition,
+// or the error that kept it from being read.
+type backendScrape struct {
+	fams map[string]*obs.MetricFamily
+	err  error
+}
+
+// scrapeAll scrapes every backend address in fleet over plain HTTP,
+// the scheme the router itself uses to reach them.
+func scrapeAll(ctx context.Context, httpc *http.Client, fleet []string) map[string]backendScrape {
+	out := make(map[string]backendScrape, len(fleet))
+	for _, addr := range fleet {
+		fams, err := scrape(ctx, httpc, "http://"+addr)
+		out[addr] = backendScrape{fams, err}
+	}
+	return out
+}
+
+// backendCounters distills the before/after backend scrapes into the
+// report's per-backend counters. Only counter families of the daemon's
+// own layers (service, WAL) are kept. A counter that went down — the
+// backend restarted mid-run — counts from the restart.
+func backendCounters(before, after map[string]backendScrape) map[string]bench.SLOBackendCounters {
+	if len(before) == 0 {
+		return nil
+	}
+	out := make(map[string]bench.SLOBackendCounters, len(before))
+	for addr, b := range before {
+		a := after[addr]
+		if err := errors.Join(b.err, a.err); err != nil {
+			out[addr] = bench.SLOBackendCounters{Missing: err.Error()}
+			continue
+		}
+		counters := map[string]int64{}
+		for name, fam := range a.fams {
+			if fam.Type != "counter" || !(strings.HasPrefix(name, "bgpc_svc_") || strings.HasPrefix(name, "bgpc_wal_")) {
+				continue
+			}
+			d, ok := obs.CounterDelta(b.fams, a.fams, name)
+			if !ok {
+				continue
+			}
+			if d < 0 {
+				d, _ = obs.CounterValue(a.fams, name)
+			}
+			counters[name] = int64(d)
+		}
+		out[addr] = bench.SLOBackendCounters{Counters: counters}
+	}
+	return out
 }
 
 // scrape fetches and parses the daemon's Prometheus exposition.

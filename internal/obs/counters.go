@@ -158,6 +158,13 @@ var (
 	// RtrRecoveries counts probing→healthy health transitions (an
 	// ejected backend passed its recovery probes and rejoined the ring).
 	RtrRecoveries Counter
+	// RtrAffinityHits counts delta flights routed first to the backend
+	// the router learned holds their base fingerprint.
+	RtrAffinityHits Counter
+	// RtrAffinityMisses counts delta flights whose base fingerprint the
+	// router had not learned (or had forgotten), routed by the fp: ring
+	// order instead.
+	RtrAffinityMisses Counter
 )
 
 // Tracing and flight-recorder counters (internal/trace). Request-path
@@ -254,6 +261,8 @@ var counterNames = map[string]*Counter{
 	"bgpc.rtr_failovers":        &RtrFailovers,
 	"bgpc.rtr_ejections":        &RtrEjections,
 	"bgpc.rtr_recoveries":       &RtrRecoveries,
+	"bgpc.rtr_affinity_hits":    &RtrAffinityHits,
+	"bgpc.rtr_affinity_misses":  &RtrAffinityMisses,
 	"bgpc.trace_kept":           &TraceKept,
 	"bgpc.trace_dropped":        &TraceDropped,
 	"bgpc.diag_bundles":         &DiagBundles,

@@ -53,6 +53,8 @@ var counterHelp = map[string]string{
 	"bgpc.rtr_failovers":        "Reroutes past a down or ejected owner to its successor.",
 	"bgpc.rtr_ejections":        "Backend suspect-to-ejected health transitions.",
 	"bgpc.rtr_recoveries":       "Ejected backends that passed recovery probes and rejoined.",
+	"bgpc.rtr_affinity_hits":    "Delta flights routed first to the backend learned to hold their base.",
+	"bgpc.rtr_affinity_misses":  "Delta flights with an unlearned base, routed by the fp: ring order.",
 }
 
 // gaugeFunc is one registered live reading.

@@ -101,6 +101,7 @@ type Router struct {
 	backends map[string]*backend
 	hc       *http.Client
 	sf       *group
+	aff      *affinity
 	mux      *http.ServeMux
 	traces   *trace.Ring // nil when router-side tracing is disabled
 	sampler  trace.Sampler
@@ -127,6 +128,7 @@ func New(cfg Config) (*Router, error) {
 		backends: make(map[string]*backend, len(ring.Members())),
 		hc:       &http.Client{Transport: tr},
 		sf:       newGroup(),
+		aff:      newAffinity(),
 		mux:      http.NewServeMux(),
 	}
 	if cfg.TraceRing > 0 {
@@ -272,12 +274,15 @@ func (rt *Router) handleColor(w http.ResponseWriter, r *http.Request) {
 		sum := sha256.Sum256(body)
 		key, variant = "raw:"+hex.EncodeToString(sum[:]), "unknown"
 	}
-	rt.route(w, r, body, key, variant)
+	rt.route(w, r, body, key, "", variant)
 }
 
-// handleDelta routes a delta-recoloring job by the path fingerprint —
-// the same identity the graph cache indexes, so a delta chases its
-// base graph to whichever backend colored it.
+// handleDelta routes a delta-recoloring job to the backend that
+// answered the 200 naming its base fingerprint, learned from the
+// X-BGPC-Fingerprint header (see affinity). An unlearned fingerprint —
+// after a router restart, or once the table forgot it — routes by the
+// ring order of "fp:<fingerprint>", which also orders the failover
+// candidates after a learned backend.
 func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
@@ -291,7 +296,7 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if json.Unmarshal(body, &req) == nil && (req.Mode == "d2" || req.Mode == "d2gc") {
 		variant = "delta/d2"
 	}
-	rt.route(w, r, body, "fp:"+fp, variant)
+	rt.route(w, r, body, "fp:"+fp, fp, variant)
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -307,8 +312,9 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 // proxy via ring order with failover and spillover, replay the
 // backend's response, and observe end-to-end latency under the same
 // histogram family a single daemon uses (so one SLO pipeline reads
-// either topology).
-func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key, variant string) {
+// either topology). base is the fingerprint a delta addresses, "" for
+// a full color.
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key, base, variant string) {
 	start := time.Now()
 
 	// Identical job = same path + byte-identical body. The routing key
@@ -354,7 +360,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key
 	}
 
 	res, shared, err := rt.sf.Do(r.Context(), sfKey, func(ctx context.Context) (*flightResult, error) {
-		return rt.proxy(ctx, rec, sc, r.Method, r.URL.RequestURI(), hdr, body, key)
+		return rt.proxy(ctx, rec, sc, r.Method, r.URL.RequestURI(), hdr, body, key, base)
 	})
 	if shared {
 		obs.RtrDedupHits.Inc()
@@ -450,8 +456,8 @@ func (rt *Router) logRequest(r *http.Request, status int, key, variant string, s
 // refused by its breaker.
 var errNoBackend = errors.New("router: no eligible backend")
 
-// proxy walks the ring order for key, applying the failover/spillover
-// policy:
+// proxy walks the candidate order for key (see candidates), applying the
+// failover/spillover policy:
 //
 //   - ineligible (ejected/probing/breaker-open) → skip to successor
 //   - transport error or 5xx → passive failure, try successor
@@ -463,12 +469,16 @@ var errNoBackend = errors.New("router: no eligible backend")
 // rejection (with its Retry-After) is replayed — the owner's backoff
 // advice is the authoritative one for this key. MaxHops bounds the
 // walk so a misbehaving fleet cannot turn one request into N.
-func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanContext, method, uri string, hdr http.Header, body []byte, key string) (*flightResult, error) {
+//
+// proxy runs once per flight, so a dedup follower neither looks up nor
+// teaches the affinity table: a 200 teaches it that the serving backend
+// holds the fingerprint the answer names.
+func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanContext, method, uri string, hdr http.Header, body []byte, key, base string) (*flightResult, error) {
 	if err := failpoint.Inject(FPPick); err != nil {
 		return nil, fmt.Errorf("%w (injected)", errNoBackend)
 	}
 	pick := rec.StartSpanKind("pick", trace.KindPick)
-	order := rt.ring.Order(key)
+	order := rt.candidates(rec, key, base)
 	pick.End()
 	var firstReject *flightResult
 	hops := 0
@@ -533,6 +543,11 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 		default:
 			b.reportSuccess()
 			obs.RtrProxied.Inc()
+			if res.status == http.StatusOK {
+				if fp := http.Header(res.header).Get(service.FingerprintHeader); fp != "" {
+					rt.aff.learn(fp, name)
+				}
+			}
 			hopSpan(rec, hopID, trace.KindProxy, t0, "backend", name, "status", strconv.Itoa(res.status))
 			res.traceID, res.spanID = sc.TraceID, hopID
 			res.header["X-Bgpc-Backend"] = []string{name}
@@ -551,6 +566,34 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 		return firstReject, nil
 	}
 	return nil, errNoBackend
+}
+
+// candidates is a flight's candidate order: the ring order of key,
+// with the backend the affinity table learned for base (a delta's
+// fingerprint) moved to the front. The rest keep their ring order, so
+// failover past a dead or breaker-open learned backend is the fp:
+// key's failover.
+func (rt *Router) candidates(rec *obs.Recorder, key, base string) []string {
+	order := rt.ring.Order(key)
+	if base == "" {
+		return order
+	}
+	learned, ok := rt.aff.lookup(base)
+	if !ok {
+		obs.RtrAffinityMisses.Inc()
+		rec.Annotate("affinity", "miss")
+		return order
+	}
+	obs.RtrAffinityHits.Inc()
+	rec.Annotate("affinity", "hit")
+	for i, m := range order {
+		if m == learned {
+			copy(order[1:i+1], order[:i])
+			order[0] = learned
+			break
+		}
+	}
+	return order
 }
 
 // send performs one backend round trip, buffering the response so the

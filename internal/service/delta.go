@@ -322,7 +322,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.quar.clear(spec.key)
 	resp.RequestID = w.Header().Get("X-Request-ID")
 	resp.TraceID = w.Header().Get("X-BGPC-Trace")
-	writeJSON(w, http.StatusOK, resp)
+	writeColored(w, resp.Fingerprint, resp)
 }
 
 // executeDelta runs a validated delta on a worker: apply the mutation

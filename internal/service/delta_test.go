@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -408,5 +409,49 @@ func TestDeltaVariantLatencySeries(t *testing.T) {
 	decodeDeltaResp(t, w)
 	if got := obs.SvcLatency.With("delta").Snapshot().Count; got != before+1 {
 		t.Fatalf("delta latency series count %d, want %d", got, before+1)
+	}
+}
+
+// TestFingerprintHeader: every 200 of a coloring endpoint names its
+// graph in FingerprintHeader — the same value as the body's
+// fingerprint, on a cache miss, a cache hit and a delta — and no error
+// response carries the header.
+func TestFingerprintHeader(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	header := func(w *httptest.ResponseRecorder) string { return w.Header().Get(FingerprintHeader) }
+
+	for _, wantHit := range []bool{false, true} {
+		w := post(t, s, ColorRequest{Matrix: tinyMtx})
+		resp := decode(t, w)
+		if resp.CacheHit != wantHit {
+			t.Fatalf("cache_hit=%v, want %v", resp.CacheHit, wantHit)
+		}
+		if got := header(w); got == "" || got != resp.Fingerprint {
+			t.Fatalf("cache_hit=%v: header %q, body fingerprint %q", wantHit, got, resp.Fingerprint)
+		}
+	}
+	base := colorFirst(t, s, ColorRequest{Matrix: tinyMtx})
+	w := postDelta(t, s, base.Fingerprint, DeltaRequest{Insert: delta.EdgeList{{Net: 0, Vtx: 3}}})
+	resp := decodeDeltaResp(t, w)
+	if got := header(w); got == "" || got != resp.Fingerprint || got == base.Fingerprint {
+		t.Fatalf("delta: header %q, body fingerprint %q, base %q", got, resp.Fingerprint, base.Fingerprint)
+	}
+
+	errs := map[string]*httptest.ResponseRecorder{
+		"color 400": post(t, s, ColorRequest{Matrix: "garbage"}),
+		"delta 404": postDelta(t, s, "00000000000000aa", DeltaRequest{Insert: delta.EdgeList{{Net: 0, Vtx: 3}}}),
+		"delta 400": postDelta(t, s, base.Fingerprint, DeltaRequest{Insert: delta.EdgeList{{Net: 99, Vtx: 3}}}),
+	}
+	arm(t, FPHandleColor+"=err@1")
+	errs["color 500"] = post(t, s, ColorRequest{Matrix: tinyMtx})
+	arm(t, FPBeforeRun+"=panic@1")
+	errs["delta 500"] = postDelta(t, s, base.Fingerprint, DeltaRequest{Insert: delta.EdgeList{{Net: 1, Vtx: 0}}})
+	for name, w := range errs {
+		if want := name[len(name)-3:]; strconv.Itoa(w.Code) != want {
+			t.Fatalf("%s: status %d: %s", name, w.Code, w.Body)
+		}
+		if got := header(w); got != "" {
+			t.Fatalf("%s (status %d) carries %s %q", name, w.Code, FingerprintHeader, got)
+		}
 	}
 }

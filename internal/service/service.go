@@ -592,7 +592,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	s.quar.clear(spec.key)
 	resp.RequestID = w.Header().Get("X-Request-ID")
 	resp.TraceID = w.Header().Get("X-BGPC-Trace")
-	writeJSON(w, http.StatusOK, resp)
+	writeColored(w, resp.Fingerprint, resp)
 }
 
 // jobSpec is a fully validated request, ready to execute. It carries
@@ -900,6 +900,19 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 	resp.NumColors = cs.NumColors
 	resp.MaxColor = cs.MaxColor
 	return resp, 0, nil
+}
+
+// FingerprintHeader carries the fingerprint of the graph a 200 from
+// /color or /color/{fp}/delta colored — the same value as the body's
+// "fingerprint" field — so a proxy can learn where that coloring lives
+// without decoding the body. Error responses never carry it.
+const FingerprintHeader = "X-BGPC-Fingerprint"
+
+// writeColored writes the 200 of a coloring endpoint: the body plus
+// its fingerprint in FingerprintHeader.
+func writeColored(w http.ResponseWriter, fp string, v any) {
+	w.Header().Set(FingerprintHeader, fp)
+	writeJSON(w, http.StatusOK, v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
