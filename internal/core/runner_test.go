@@ -349,6 +349,45 @@ func TestTableIOrderingHolds(t *testing.T) {
 	}
 }
 
+// TestTableIOrderingSingleWorker pins Table I's ordering without
+// scheduling noise. TestTableIOrderingHolds runs four workers, and on
+// many cores the "Alg 6 + reverse" and "Alg 8" counts there come
+// within a few vertices of each other, so its outcome varies from run
+// to run. With one worker every run makes the same decisions: the
+// conflicts come only from cross-net recoloring, the effect Table I
+// measures, and the counts are exact.
+func TestTableIOrderingSingleWorker(t *testing.T) {
+	g, err := gen.Preset("copapers", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remaining := func(variant NetColorVariant) int {
+		opts := Options{
+			Threads: 1, Chunk: 64, LazyQueues: true,
+			NetColorIters: 1, NetCRIters: 2, NetColorVariant: variant,
+			CollectPerIteration: true,
+		}
+		res, err := Color(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := verify.BGPC(g, res.Colors); err != nil {
+			t.Fatal(err)
+		}
+		return res.Iters[0].Conflicts
+	}
+	v1, rev, twoPass := remaining(NetV1), remaining(NetV1Reverse), remaining(NetTwoPass)
+	t.Logf("remaining after iter 1: v1=%d reverse=%d two-pass=%d", v1, rev, twoPass)
+	if !(twoPass < rev && rev < v1) {
+		t.Fatalf("Table I ordering violated: v1=%d reverse=%d two-pass=%d", v1, rev, twoPass)
+	}
+	for i := 0; i < 2; i++ {
+		if a, b, c := remaining(NetV1), remaining(NetV1Reverse), remaining(NetTwoPass); a != v1 || b != rev || c != twoPass {
+			t.Fatalf("single-worker counts moved between runs: %d/%d/%d then %d/%d/%d", v1, rev, twoPass, a, b, c)
+		}
+	}
+}
+
 func TestBalancingReducesStdDev(t *testing.T) {
 	g, err := gen.Preset("movielens", 0.1)
 	if err != nil {

@@ -147,11 +147,27 @@ func Inject(name string) error {
 	if armedCount.Load() == 0 {
 		return nil
 	}
-	return injectSlow(name)
+	return injectSlow(name, nil)
+}
+
+// Canceler is a cooperative cancel flag a site hands to InjectCancel.
+type Canceler interface{ Cancel() }
+
+// InjectCancel is Inject for a site with a cooperative cancel flag.
+// When the point fires a cancel action, c.Cancel runs under the
+// registry lock, before the firing can auto-disarm the point: no other
+// probe can find the point disarmed while c is still untripped, so
+// every goroutine that polls c after probing sees the cancel. Disarmed
+// it is the same single atomic load as Inject.
+func InjectCancel(name string, c Canceler) error {
+	if armedCount.Load() == 0 {
+		return nil
+	}
+	return injectSlow(name, c)
 }
 
 //go:noinline
-func injectSlow(name string) error {
+func injectSlow(name string, c Canceler) error {
 	mu.Lock()
 	st, ok := points[name]
 	if !ok {
@@ -164,6 +180,9 @@ func injectSlow(name string) error {
 		return nil
 	}
 	st.fired++
+	if st.p.Kind == KindCancel && c != nil {
+		c.Cancel()
+	}
 	if st.p.Times > 0 && st.fired >= st.p.Times {
 		delete(points, name)
 		armedCount.Add(-1)

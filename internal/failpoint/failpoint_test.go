@@ -214,3 +214,64 @@ func TestConcurrentInjectAndArm(t *testing.T) {
 	}
 	<-done
 }
+
+// armedProbe is a Canceler that records, at the moment it is tripped,
+// whether its point was still armed.
+type armedProbe struct {
+	name          string
+	armedAtCancel bool
+	cancels       int
+}
+
+// Cancel runs under the registry lock, so it reads the registry
+// directly rather than through the locking accessors.
+func (p *armedProbe) Cancel() {
+	_, ok := points[p.name]
+	p.armedAtCancel = ok && armedCount.Load() > 0
+	p.cancels++
+}
+
+// TestInjectCancelTripsBeforeDisarm: a "cancel@1" point trips the
+// site's flag while it is still armed, and only then disarms. A probe
+// that finds the point disarmed therefore always finds the flag set —
+// the ordering a parallel loop's other workers rely on.
+func TestInjectCancelTripsBeforeDisarm(t *testing.T) {
+	reset(t)
+	if err := Arm("p.cancel", "cancel@1"); err != nil {
+		t.Fatal(err)
+	}
+	c := &armedProbe{name: "p.cancel"}
+	if err := InjectCancel("p.cancel", c); !IsCancel(err) {
+		t.Fatalf("InjectCancel = %v, want a cancel error", err)
+	}
+	if c.cancels != 1 || !c.armedAtCancel {
+		t.Fatalf("cancels=%d armedAtCancel=%v, want one cancel while still armed", c.cancels, c.armedAtCancel)
+	}
+	if len(Active()) != 0 {
+		t.Fatalf("cancel@1 still armed after firing: %v", Active())
+	}
+	if err := InjectCancel("p.cancel", c); err != nil || c.cancels != 1 {
+		t.Fatalf("disarmed point fired again: err=%v cancels=%d", err, c.cancels)
+	}
+
+	// Other kinds, skipped hits and plain Inject never call Cancel.
+	ArmPoint("p.err", Point{Kind: KindErr})
+	ArmPoint("p.skip", Point{Kind: KindCancel, Skip: 1})
+	other := &armedProbe{name: "p.err"}
+	InjectCancel("p.err", other)
+	InjectCancel("p.skip", other)
+	if other.cancels != 0 {
+		t.Fatalf("non-firing or non-cancel probes tripped the flag %d times", other.cancels)
+	}
+	if err := Inject("p.skip"); !IsCancel(err) {
+		t.Fatalf("Inject on a cancel point = %v", err)
+	}
+}
+
+func TestDisarmedInjectCancelNoAllocs(t *testing.T) {
+	reset(t)
+	c := &armedProbe{name: "nobody.armed.this"}
+	if avg := testing.AllocsPerRun(1000, func() { InjectCancel("nobody.armed.this", c) }); avg != 0 {
+		t.Fatalf("disarmed InjectCancel allocates %v per call, want 0", avg)
+	}
+}

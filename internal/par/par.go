@@ -91,14 +91,13 @@ func (b *panicBox) rethrow() {
 
 // dispatchFailpoint probes FPDispatch at a chunk boundary. A cancel
 // action trips cn when the caller armed a Canceler (the loop observes
-// it at its next dispatch check); err actions have no channel out of a
-// loop body and are deliberately ignored. Panics propagate to the
-// worker's capture. Kept out of line so the disarmed path inlines as
-// one load.
+// it at its next dispatch check); it is tripped inside the failpoint's
+// lock, before a "cancel@N" point can disarm, so no worker can probe
+// the disarmed point and run on unaware. err actions have no channel
+// out of a loop body and are deliberately ignored. Panics propagate to
+// the worker's capture. The disarmed path is one load.
 func dispatchFailpoint(cn *Canceler) {
-	if err := failpoint.Inject(FPDispatch); err != nil && failpoint.IsCancel(err) && cn != nil {
-		cn.Cancel()
-	}
+	failpoint.InjectCancel(FPDispatch, cn) // a nil cn's Cancel is a no-op
 }
 
 // Canceler is a cooperative cancellation flag shared between a

@@ -257,17 +257,17 @@ func (rt *Router) handleBackends(w http.ResponseWriter, r *http.Request) {
 
 // handleColor routes a full coloring job: the routing key is the
 // backend graph-cache key the request resolves to, so jobs on one
-// graph land on the backend already caching it.
+// graph land on the backend already caching it. The body goes through
+// the daemon's own decoder and key, so the two cannot disagree.
 func (rt *Router) handleColor(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	var req service.ColorRequest
 	var key, variant string
-	if err := json.Unmarshal(body, &req); err == nil {
-		key = service.CacheKey(&req)
-		variant = colorVariant(&req)
+	if req, err := service.DecodeColorRequest(body); err == nil {
+		key = req.CacheKey()
+		variant = colorVariant(&req.ColorRequest)
 	} else {
 		// Malformed JSON still routes (deterministically, by content);
 		// the owning backend issues the 400.

@@ -18,7 +18,8 @@ import (
 // returns the byte estimate the server will charge against the budget.
 func estimateFor(t *testing.T, s *Server, req ColorRequest) int64 {
 	t.Helper()
-	spec, status, err := s.resolve(&req)
+	body := colorBody(req)
+	spec, status, err := s.resolve(&body)
 	if err != nil {
 		t.Fatalf("resolve (status %d): %v", status, err)
 	}

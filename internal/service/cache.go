@@ -251,25 +251,30 @@ func (c *graphCache) len() int {
 
 // CacheKey returns the graph-cache key a ColorRequest resolves to: the
 // content hash of an inline matrix, or name+scale for a preset (with
-// resolve's scale-0-means-1 default applied). Exported for the fleet
-// router, which consistent-hashes this key so that requests for one
-// graph land on the backend that already caches it. Requests resolve
-// would reject key to whatever material they carry; the router never
-// needs them to match anything.
+// resolve's scale-0-means-1 default applied). The fleet router
+// consistent-hashes the same key (ColorBody.CacheKey, on the body it
+// decoded) so that requests for one graph land on the backend that
+// already caches it. Requests resolve would reject key to whatever
+// material they carry; the router never needs them to match anything.
 func CacheKey(req *ColorRequest) string {
-	if req.Matrix != "" {
-		return matrixKey(req.Matrix)
+	return graphKey([]byte(req.Matrix), req.Preset, req.Scale)
+}
+
+// graphKey is the one definition of the graph-cache key, shared by
+// CacheKey and ColorBody.CacheKey so the daemon and the router agree.
+func graphKey(matrix []byte, preset string, scale float64) string {
+	if len(matrix) > 0 {
+		return matrixKey(matrix)
 	}
-	scale := req.Scale
 	if scale == 0 {
 		scale = 1.0
 	}
-	return presetKey(req.Preset, scale)
+	return presetKey(preset, scale)
 }
 
 // matrixKey is the content hash of an inline MatrixMarket body.
-func matrixKey(matrix string) string {
-	sum := sha256.Sum256([]byte(matrix))
+func matrixKey(matrix []byte) string {
+	sum := sha256.Sum256(matrix)
 	return "mtx:" + hex.EncodeToString(sum[:])
 }
 

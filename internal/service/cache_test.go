@@ -99,10 +99,10 @@ func TestCacheEntryClosedMemoized(t *testing.T) {
 }
 
 func TestCacheKeys(t *testing.T) {
-	if matrixKey("a") == matrixKey("b") {
+	if matrixKey([]byte("a")) == matrixKey([]byte("b")) {
 		t.Fatal("distinct matrices share a key")
 	}
-	if matrixKey("a") != matrixKey("a") {
+	if matrixKey([]byte("a")) != matrixKey([]byte("a")) {
 		t.Fatal("matrix key not deterministic")
 	}
 	if presetKey("channel", 1) == presetKey("channel", 0.5) {
@@ -113,7 +113,7 @@ func TestCacheKeys(t *testing.T) {
 	}
 	// Keys must be namespaced so an inline matrix can never collide
 	// with a preset spec.
-	if fmt.Sprintf("%.4s", matrixKey("x")) == fmt.Sprintf("%.4s", presetKey("x", 1)) {
+	if fmt.Sprintf("%.4s", matrixKey([]byte("x"))) == fmt.Sprintf("%.4s", presetKey("x", 1)) {
 		t.Fatal("matrix and preset keys share a namespace")
 	}
 }

@@ -321,7 +321,8 @@ func TestChaosBudgetSqueeze(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	req := ColorRequest{Matrix: tinyMtx, Algorithm: "V-V", TimeoutMS: 10_000}
 	sizer := newTestServer(t, Config{Workers: 1})
-	spec, _, err := sizer.resolve(&req)
+	body := colorBody(req)
+	spec, _, err := sizer.resolve(&body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -66,7 +67,7 @@ func FuzzColorRequest(f *testing.F) {
 		if spec == nil {
 			t.Fatal("nil spec with nil error")
 		}
-		if (spec.matrix == "") == (spec.preset == "") {
+		if (len(spec.matrix) == 0) == (spec.preset == "") {
 			t.Fatalf("accepted spec with matrix=%q preset=%q", spec.matrix, spec.preset)
 		}
 		if spec.timeout <= 0 || spec.opts.Threads < 1 {
@@ -76,8 +77,8 @@ func FuzzColorRequest(f *testing.F) {
 		// worker; that step must never panic either (errors are fine —
 		// they become a 400). Bound the size so the fuzzer doesn't
 		// spend its budget parsing megabyte bodies.
-		if spec.matrix != "" && len(spec.matrix) < 1<<16 {
-			_, _ = mtx.Read(strings.NewReader(spec.matrix))
+		if len(spec.matrix) > 0 && len(spec.matrix) < 1<<16 {
+			_, _ = mtx.Read(bytes.NewReader(spec.matrix))
 		}
 	})
 }

@@ -30,11 +30,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -470,9 +470,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // status is the HTTP code to use when err is non-nil (always 4xx —
 // malformed input must never be a server fault).
 func (s *Server) decodeColorRequest(raw []byte) (*jobSpec, int, error) {
-	var req ColorRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err)
+	req, err := DecodeColorRequest(raw)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	return s.resolve(&req)
 }
@@ -484,13 +484,12 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := obs.RecorderFromContext(r.Context())
 	decode := rec.StartSpanKind("decode", trace.KindDecode)
-	body := io.LimitReader(r.Body, s.cfg.MaxRequestBytes+1)
-	raw, err := io.ReadAll(body)
+	raw, tooLarge, err := readBody(r.Body, r.ContentLength, s.cfg.MaxRequestBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
-	if int64(len(raw)) > s.cfg.MaxRequestBytes {
+	if tooLarge {
 		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", s.cfg.MaxRequestBytes)
 		return
 	}
@@ -604,7 +603,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 // model.
 type jobSpec struct {
 	key      string // graph-cache key
-	matrix   string // inline MatrixMarket body ("" when preset is set)
+	matrix   []byte // inline MatrixMarket body (empty when preset is set)
 	preset   string
 	scale    float64
 	d2mode   bool
@@ -620,8 +619,8 @@ type jobSpec struct {
 // algorithm, mode, limits — and produces a jobSpec. Graph construction
 // is deliberately deferred to execute (on a worker). The returned
 // status is the HTTP code to use when err is non-nil.
-func (s *Server) resolve(req *ColorRequest) (*jobSpec, int, error) {
-	if (req.Matrix == "") == (req.Preset == "") {
+func (s *Server) resolve(req *ColorBody) (*jobSpec, int, error) {
+	if (len(req.Matrix) == 0) == (req.Preset == "") {
 		return nil, http.StatusBadRequest, errors.New("give exactly one of matrix or preset")
 	}
 	if req.TimeoutMS < 0 {
@@ -678,7 +677,7 @@ func (s *Server) resolve(req *ColorRequest) (*jobSpec, int, error) {
 		algo:    algo,
 		timeout: timeout,
 	}
-	if req.Matrix != "" {
+	if len(req.Matrix) > 0 {
 		spec.key = matrixKey(req.Matrix)
 	} else {
 		spec.scale = req.Scale
@@ -731,8 +730,8 @@ func (s *Server) resolve(req *ColorRequest) (*jobSpec, int, error) {
 // jobs peek only the MatrixMarket header under the configured parse
 // caps; preset jobs use the generator's predicted dimensions.
 func (s *Server) jobShape(spec *jobSpec) (limits.Shape, int, error) {
-	if spec.matrix != "" {
-		info, err := mtx.PeekInfo(strings.NewReader(spec.matrix), s.cfg.ParseLimits)
+	if len(spec.matrix) > 0 {
+		info, err := mtx.PeekInfo(bytes.NewReader(spec.matrix), s.cfg.ParseLimits)
 		switch {
 		case errors.Is(err, limits.ErrTooLarge):
 			obs.SvcTooLarge.Inc()
@@ -760,8 +759,8 @@ func (s *Server) buildGraph(spec *jobSpec) (*cacheEntry, bool, error) {
 	}
 	var g *bipartite.Graph
 	var err error
-	if spec.matrix != "" {
-		g, err = mtx.ReadLimited(strings.NewReader(spec.matrix), s.cfg.ParseLimits)
+	if len(spec.matrix) > 0 {
+		g, err = mtx.ReadLimited(bytes.NewReader(spec.matrix), s.cfg.ParseLimits)
 	} else {
 		// TryPreset contains generator panics: a build that blows up
 		// is a rejected request, not a crashed worker.
